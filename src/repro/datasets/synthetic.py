@@ -17,7 +17,7 @@ from ..errors import DatasetError
 from ..geometry import PinholeCamera
 from ..scene.living_room import SceneDescription
 from ..scene.noise import KinectNoiseModel
-from ..scene.renderer import RenderSettings, render_depth, render_rgb
+from ..scene.renderer import RenderSettings, render_depth, shade_rgb
 from ..scene.trajectory import Trajectory
 from .base import Sequence
 
@@ -104,7 +104,7 @@ class SyntheticSequence(Sequence):
         rng = np.random.default_rng((self._seed, index))
         depth = self._noise.apply(clean, rng)
         rgb = (
-            render_rgb(self._scene, self._camera, pose, self._settings)
+            shade_rgb(self._scene, self._camera, pose, clean)
             if self._with_rgb
             else None
         )

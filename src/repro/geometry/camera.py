@@ -8,6 +8,7 @@ ICP pyramid); :meth:`PinholeCamera.scaled` produces the intrinsics for each.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,22 +119,12 @@ class PinholeCamera:
         Rays are in the camera frame with z=1; multiply by depth to get the
         camera-frame vertex for each pixel.
 
-        The ray grid depends only on the (frozen) intrinsics, so it is
-        computed once per camera instance and cached; the returned array
-        is marked read-only — copy before mutating.
+        The ray grid depends only on the intrinsics, so cameras with equal
+        intrinsics share one cached grid; the returned array is read-only —
+        copy before mutating.
         """
-        cached = self.__dict__.get("_pixel_rays")
-        if cached is not None:
-            return cached
-        u = np.arange(self.width, dtype=float)
-        v = np.arange(self.height, dtype=float)
-        uu, vv = np.meshgrid(u, v)
-        x = (uu - self.cx) / self.fx
-        y = (vv - self.cy) / self.fy
-        rays = np.stack([x, y, np.ones_like(x)], axis=-1)
-        rays.flags.writeable = False
-        object.__setattr__(self, "_pixel_rays", rays)
-        return rays
+        return _pixel_rays(self.width, self.height, self.fx, self.fy,
+                           self.cx, self.cy)
 
     @contract(depth="H,W:f64")
     def backproject(self, depth: np.ndarray) -> np.ndarray:
@@ -178,3 +169,17 @@ class PinholeCamera:
         )
         pixels = np.stack([u, v], axis=-1)
         return pixels, valid
+
+
+@functools.lru_cache(maxsize=32)
+def _pixel_rays(width: int, height: int, fx: float, fy: float, cx: float,
+                cy: float) -> np.ndarray:
+    """The read-only ray grid of :meth:`PinholeCamera.pixel_rays`."""
+    u = np.arange(width, dtype=float)
+    v = np.arange(height, dtype=float)
+    uu, vv = np.meshgrid(u, v)
+    x = (uu - cx) / fx
+    y = (vv - cy) / fy
+    rays = np.stack([x, y, np.ones_like(x)], axis=-1)
+    rays.flags.writeable = False
+    return rays

@@ -2,8 +2,17 @@
 
 This plays the role of ICL-NUIM's POV-Ray raytracer: given a scene SDF, a
 camera and a pose, it produces a noiseless ground-truth depth map (and a
-simple Lambertian RGB image).  Rendering is fully vectorised: all rays are
-marched together, with converged rays masked out.
+simple Lambertian RGB image).
+
+Rendering is vectorised over tiles of :data:`TILE_RAYS` rays.  Within a
+tile the marcher keeps compacted arrays of the live rays (index, ``t`` and
+the three direction components) and evaluates the scene SDF component-wise
+(:meth:`SDFNode.distance_xyz`) on separate ``x``, ``y``, ``z`` arrays, so
+each step is a handful of elementwise ufuncs over contiguous, cache-sized
+arrays.  Every ray runs the same float64 operations in the same order as
+a plain per-ray sphere tracer, so the output does not depend on the tile
+size and is bit-identical to the original all-rays, masked renderer;
+``tests/test_render_digests.py`` pins that contract.
 """
 
 from __future__ import annotations
@@ -15,6 +24,10 @@ import numpy as np
 from ..errors import GeometryError
 from ..geometry import PinholeCamera, se3
 from .living_room import SceneDescription
+
+#: Rays marched together.  A tile's per-step temporaries (~64 KB each)
+#: stay in cache; the tile size changes speed, never the result.
+TILE_RAYS = 8192
 
 
 @dataclass(frozen=True)
@@ -50,51 +63,57 @@ def render_depth(
         raise GeometryError("render_depth: pose is not a valid rigid transform")
     dirs_cam = camera.pixel_rays().reshape(-1, 3)
     dirs_cam = dirs_cam / np.linalg.norm(dirs_cam, axis=-1, keepdims=True)
-    R = pose[:3, :3]
-    origin = pose[:3, 3]
-    dirs_world = dirs_cam @ R.T
+    dirs_x, dirs_y, dirs_z = np.ascontiguousarray((dirs_cam @ pose[:3, :3].T).T)
 
-    n_rays = dirs_world.shape[0]
-    t = np.full(n_rays, settings.min_range * 0.5)
-    alive = np.ones(n_rays, dtype=bool)
-    hit = np.zeros(n_rays, dtype=bool)
-
-    for _ in range(settings.max_steps):
-        if not alive.any():
-            break
-        pts = origin + t[alive, None] * dirs_world[alive]
-        d = scene.distance(pts)
-        idx = np.flatnonzero(alive)
-        converged = d < settings.hit_epsilon
-        hit[idx[converged]] = True
-        alive[idx[converged]] = False
-        # Advance the survivors; conservative step of |d| keeps us from
-        # tunnelling through thin structures when inside negative regions.
-        step = np.maximum(np.abs(d[~converged]), settings.hit_epsilon)
-        rest = idx[~converged]
-        t[rest] += step
-        overshoot = t[rest] > settings.max_range
-        alive[rest[overshoot]] = False
+    # Hit distance along each ray; rays that never converge keep t = 0.
+    t_hit = np.zeros(dirs_cam.shape[0])
+    for start in range(0, t_hit.size, TILE_RAYS):
+        tile = slice(start, start + TILE_RAYS)
+        _march(scene.sdf, pose[:3, 3], dirs_x[tile], dirs_y[tile],
+               dirs_z[tile], t_hit[tile], settings)
 
     # Depth is the z-component in the camera frame: t * dir_z.
-    depth = np.where(hit, t * dirs_cam[:, 2], 0.0)
+    depth = t_hit * dirs_cam[:, 2]
     depth[(depth < settings.min_range) | (depth > settings.max_range)] = 0.0
     return depth.reshape(camera.shape)
 
 
-def render_rgb(
+def _march(sdf, origin, dx, dy, dz, t_hit, settings: RenderSettings) -> None:
+    """Sphere-trace one tile of rays, writing hit distances into ``t_hit``.
+
+    ``idx``, ``t`` and the direction components hold only the live rays
+    and are compacted whenever a ray converges or leaves the range.
+    """
+    ox, oy, oz = origin
+    eps = settings.hit_epsilon
+    idx = np.arange(dx.size)
+    t = np.full(dx.size, settings.min_range * 0.5)
+    for _ in range(settings.max_steps):
+        d = sdf.distance_xyz(ox + t * dx, oy + t * dy, oz + t * dz)
+        converged = d < eps
+        t_hit[idx[converged]] = t[converged]
+        # Advance the survivors; conservative step of |d| keeps us from
+        # tunnelling through thin structures when inside negative regions.
+        t = t + np.maximum(np.abs(d), eps)
+        live = ~(converged | (t > settings.max_range))
+        if not live.all():
+            idx, t, dx, dy, dz = idx[live], t[live], dx[live], dy[live], dz[live]
+            if not idx.size:
+                break
+
+
+def shade_rgb(
     scene: SceneDescription,
     camera: PinholeCamera,
     pose: np.ndarray,
-    settings: RenderSettings = RenderSettings(),
+    depth: np.ndarray,
     light_dir=(0.4, 1.0, 0.3),
 ) -> np.ndarray:
-    """Render a Lambertian-shaded RGB image ``(H, W, 3)`` in [0, 1].
+    """Lambertian-shade a rendered depth map into RGB ``(H, W, 3)`` in [0, 1].
 
-    The RGB stream is carried through the pipeline for API fidelity (the
-    SLAMBench GUI displays it) but KinectFusion's tracking only uses depth.
+    Pixels with depth 0 stay black.  Callers that already hold the clean
+    depth (``SyntheticSequence``) shade it directly instead of re-tracing.
     """
-    depth = render_depth(scene, camera, pose, settings)
     rays = camera.pixel_rays()
     pts_cam = rays * depth[..., None]
     valid = depth > 0.0
@@ -111,6 +130,22 @@ def render_rgb(
         shade = 0.25 + 0.75 * lambert
         rgb[vmask] = scene.albedo(surf) * shade[:, None]
     return np.clip(rgb.reshape(camera.height, camera.width, 3), 0.0, 1.0)
+
+
+def render_rgb(
+    scene: SceneDescription,
+    camera: PinholeCamera,
+    pose: np.ndarray,
+    settings: RenderSettings = RenderSettings(),
+    light_dir=(0.4, 1.0, 0.3),
+) -> np.ndarray:
+    """Render a Lambertian-shaded RGB image ``(H, W, 3)`` in [0, 1].
+
+    The RGB stream is carried through the pipeline for API fidelity (the
+    SLAMBench GUI displays it) but KinectFusion's tracking only uses depth.
+    """
+    depth = render_depth(scene, camera, pose, settings)
+    return shade_rgb(scene, camera, pose, depth, light_dir)
 
 
 def render_vertex_normal(

@@ -338,11 +338,21 @@ class TestPixelRaysCache:
         with pytest.raises(ValueError):
             rays[0, 0, 0] = 99.0
 
-    def test_instances_do_not_share_cache(self):
+    def test_equal_intrinsics_share_one_grid(self):
+        a = PinholeCamera.kinect_like(width=320, height=240)
+        b = PinholeCamera.kinect_like(width=320, height=240)
+        assert a is not b
+        assert a.pixel_rays() is b.pixel_rays()
+        assert not a.pixel_rays().flags.writeable
+
+    def test_different_intrinsics_get_different_grids(self):
         a = PinholeCamera.kinect_like(width=32, height=24)
-        b = PinholeCamera.kinect_like(width=32, height=24)
-        assert a.pixel_rays() is not b.pixel_rays()
-        np.testing.assert_array_equal(a.pixel_rays(), b.pixel_rays())
+        for b in (PinholeCamera.kinect_like(width=64, height=48),
+                  PinholeCamera(32, 24, a.fx, a.fy, a.cx + 0.5, a.cy),
+                  PinholeCamera(32, 24, a.fx * 1.01, a.fy, a.cx, a.cy)):
+            assert a.pixel_rays() is not b.pixel_rays()
+            assert not np.array_equal(a.pixel_rays(), b.pixel_rays())
+            assert not b.pixel_rays().flags.writeable
 
     def test_hash_and_eq_unaffected_by_cache(self):
         a = PinholeCamera.kinect_like(width=32, height=24)

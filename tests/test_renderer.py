@@ -111,3 +111,31 @@ class TestRoomRendering:
         d = np.abs(scene.distance(pts_world))
         assert np.median(d) < 0.01
         assert np.percentile(d, 90) < 0.05
+
+
+class TestSequenceRGB:
+    def test_one_depth_render_per_frame(self, monkeypatch):
+        """``with_rgb`` shades the frame's clean depth, not a second trace."""
+        import repro.datasets.synthetic as synthetic
+        import repro.scene.renderer as renderer
+        from repro.datasets import icl_nuim
+
+        calls = []
+        real = renderer.render_depth
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        seq = icl_nuim.load("lr_kt0", n_frames=3, width=32, height=24,
+                            with_rgb=True)
+        monkeypatch.setattr(synthetic, "render_depth", counting)
+        monkeypatch.setattr(renderer, "render_depth", counting)
+        frames = [seq.frame(i) for i in range(len(seq))]
+        assert len(calls) == len(seq)
+        monkeypatch.undo()
+
+        camera = seq.sensors.depth.camera
+        for i, frame in enumerate(frames):
+            expected = render_rgb(seq.scene, camera, seq.trajectory[i])
+            assert frame.rgb.tobytes() == expected.tobytes()
