@@ -1,8 +1,8 @@
-"""S17/S22 — kernel backends on the frame pipeline, two operating points.
+"""S17/S22 — kernel backends on the frame pipeline, three operating points.
 
 Runs the full KinectFusion pipeline under every registered kernel
 backend (reference, fast, sparse, and jit when numba is installed) at
-two operating points:
+three operating points:
 
 * **64x48** — the paper's low-power resolution (the mobile campaign
   sweeps it), full-frame compute, ``integration_rate=1``.
@@ -10,6 +10,9 @@ two operating points:
   ``integration_rate=3``, both knobs of the paper's design space, at
   which the sparse voxel-block backend clears the 30 fps budget on a
   single core.
+* **320x240_csr4_ir1** — the denser middle point of the measured sweep
+  (``compute_size_ratio=4``, every frame integrated), where the sparse
+  backend must stay ahead of ``fast`` per reimplemented kernel too.
 
 Per-backend numbers are written to ``BENCH_frame_pipeline.json`` at the
 repo root so the speed-ups are tracked in-tree.  ``wall_s_per_frame``
@@ -20,8 +23,9 @@ adds heavy-tailed noise, and the median is the honest summary of both.
 The bench *asserts* the perf contract rather than just reporting it:
 identical status sequences across backends at both operating points,
 ``fast <= reference`` at 64x48, and ``sparse <= fast <= reference``
-plus ``sparse`` under the 33 ms real-time budget at 320x240 — a perf
-regression fails the suite rather than silently shipping.
+plus ``sparse`` under the 33 ms real-time budget at 320x240, and
+``sparse <= fast`` for integrate and raycast at 320x240_csr4_ir1 — a
+perf regression fails the suite rather than silently shipping.
 
 Correctness is asserted here too (identical status sequences), but the
 authoritative equivalence suites are ``tests/test_perf.py`` and
@@ -45,7 +49,7 @@ SEED = 0
 #: Real-time frame budget the 320x240 sparse backend must clear.
 REALTIME_BUDGET_S = 1.0 / 30.0
 
-#: The two operating points; ``config`` keys are paper DSE dimensions.
+#: The operating points; ``config`` keys are paper DSE dimensions.
 SECTIONS = {
     "64x48": {
         "width": 64,
@@ -66,6 +70,17 @@ SECTIONS = {
             "volume_size": 5.0,
             "compute_size_ratio": 8,
             "integration_rate": 3,
+        },
+    },
+    "320x240_csr4_ir1": {
+        "width": 320,
+        "height": 240,
+        "n_frames": 12,
+        "config": {
+            "volume_resolution": VOLUME_RESOLUTION,
+            "volume_size": 5.0,
+            "compute_size_ratio": 4,
+            "integration_rate": 1,
         },
     },
 }
@@ -179,6 +194,14 @@ def test_frame_pipeline_backends(benchmark, show):
         assert chain == sorted(chain), (stage, chain)
     assert large["sparse"]["wall_s_per_frame"] < REALTIME_BUDGET_S, \
         large["sparse"]["wall_s_per_frame"]
+
+    # The denser point: sparse ahead of fast on both kernels it
+    # reimplements (cumulative wall, as above).
+    dense = sections["320x240_csr4_ir1"]
+    for stage in ("integrate", "raycast"):
+        pair = [dense[name]["kernels"][stage]["total_s"]
+                for name in ("sparse", "fast")]
+        assert pair == sorted(pair), (stage, pair)
 
     for section_name, runs in sections.items():
         _section_table(section_name, SECTIONS[section_name], runs, show)

@@ -16,8 +16,8 @@ hash of packed block coordinates:
   float32 tsdf/weight block arrays, plus the allocation API the sparse
   kernels (:mod:`repro.perf.sparse_integrate`,
   :mod:`repro.perf.sparse_raycast`) drive: ``ensure_blocks`` /
-  ``lookup_blocks`` and the block-occupancy masks raycast space-skipping
-  classifies against.  A dense coord->slot mirror of the hash
+  ``lookup_blocks``, and the may-cross cell mask the raycaster skips
+  empty space with.  A dense coord->slot mirror of the hash
   (``block_slot_table``) serves the per-sample lookups on the raycast
   hot path as a single flat gather.
 
@@ -32,11 +32,20 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
+from .volume import CROSSING_TAU, cells_around
 
 #: Voxels per block edge (InfiniTAM's choice; 8^3 = 512 voxels/block).
 BLOCK = 8
 #: Voxels per block.
 BLOCK_VOXELS = BLOCK**3
+
+#: Block-local flat indices of the cells on a block's +x/+y/+z faces:
+#: the only cells whose corners reach into neighbouring blocks.
+_FACE_CELLS = np.array(
+    [i for i in range(BLOCK_VOXELS)
+     if BLOCK - 1 in (i // (BLOCK * BLOCK), i // BLOCK % BLOCK, i % BLOCK)],
+    dtype=np.int32,
+)
 
 #: Bits reserved per packed block coordinate axis.
 _PACK_BITS = 20
@@ -74,6 +83,11 @@ def _mix(keys: np.ndarray) -> np.ndarray:
     x *= _MIX_2
     x ^= x >> _SHIFT
     return x
+
+
+def _local(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Block-local flat index of voxels ``(x, y, z)``."""
+    return ((x & 7) * BLOCK + (y & 7)) * BLOCK + (z & 7)
 
 
 class BlockHash:
@@ -201,6 +215,12 @@ class SparseTSDFVolume:
             data; rows past :attr:`allocated_blocks` are unused.  Block
             row layout is x-major: local voxel ``(lx, ly, lz)`` is flat
             index ``(lx * 8 + ly) * 8 + lz``.
+        crossing_blocks: ``(capacity, 512)`` bool may-cross cell mask in
+            the same layout: the dense volume's ``crossing`` entry of
+            the cell based at each voxel, with unallocated corners read
+            as the empty state (tsdf 1.0, never may-cross).  Kept
+            current by the sparse integrate kernel
+            (:meth:`update_crossing`) and by :meth:`ensure_blocks`.
     """
 
     def __init__(self, resolution: int, size: float,
@@ -223,11 +243,8 @@ class SparseTSDFVolume:
         self._alloc_arrays(self._initial_blocks)
         self.hash = BlockHash()
         nb = self.blocks_per_side
-        # Allocated-block occupancy, plus its 3^3 dilation: a sample whose
-        # block is False in the dilated mask cannot touch allocated data
-        # with any trilinear corner — the raycaster's space-skip test.
+        # Allocated-block occupancy (the allocation set as a grid).
         self.block_occupancy = np.zeros((nb, nb, nb), dtype=bool)
-        self.block_occupancy_dilated = np.zeros((nb, nb, nb), dtype=bool)
         # Dense coord -> slot acceleration table (-1 = unallocated).  The
         # hash stays the canonical mapping; this mirror turns the per-
         # sample block lookups on the raycast hot path into one flat
@@ -241,6 +258,7 @@ class SparseTSDFVolume:
         self.weight_blocks = np.zeros((capacity, BLOCK_VOXELS),
                                       dtype=np.float32)
         self.block_coords = np.zeros((capacity, 3), dtype=np.int32)
+        self.crossing_blocks = np.zeros((capacity, BLOCK_VOXELS), dtype=bool)
 
     @property
     def voxel_size(self) -> float:
@@ -253,12 +271,13 @@ class SparseTSDFVolume:
 
     @property
     def allocated_bytes(self) -> int:
-        """Actual bytes held: block data in use + hash table + masks."""
-        per_block = (self.tsdf_blocks.itemsize + self.weight_blocks.itemsize) \
-            * BLOCK_VOXELS + self.block_coords.itemsize * 3
+        """Actual bytes held: block data and cell mask in use + hash
+        table + occupancy grid + slot table."""
+        per_block = (self.tsdf_blocks.itemsize + self.weight_blocks.itemsize
+                     + self.crossing_blocks.itemsize) * BLOCK_VOXELS \
+            + self.block_coords.itemsize * 3
         return (self._n_alloc * per_block + self.hash.nbytes
                 + self.block_occupancy.nbytes
-                + self.block_occupancy_dilated.nbytes
                 + self.block_slot_table.nbytes)
 
     def reset(self) -> None:
@@ -266,7 +285,6 @@ class SparseTSDFVolume:
         self._alloc_arrays(self._initial_blocks)
         self.hash = BlockHash()
         self.block_occupancy[:] = False
-        self.block_occupancy_dilated[:] = False
         self.block_slot_table[:] = -1
         self._n_alloc = 0
 
@@ -276,7 +294,7 @@ class SparseTSDFVolume:
 
         Coordinates must lie in ``[0, blocks_per_side)``; duplicates are
         fine.  Newly allocated blocks start at the empty state and are
-        folded into the occupancy masks.
+        folded into the occupancy grid and the may-cross mask.
         """
         coords = np.asarray(coords, dtype=np.int64)
         if coords.size == 0:
@@ -303,7 +321,8 @@ class SparseTSDFVolume:
             self.hash.insert(pack_block_coords(new_coords), new_slots)
             self.block_slot_table[new_flat] = new_slots
             self._n_alloc = start + int(new_flat.size)
-            self._mark_occupancy(new_coords)
+            self.block_occupancy[tuple(new_coords.T)] = True
+            self._seed_crossing(new_coords, start)
             slots = self.block_slot_table[flat]
         return slots
 
@@ -314,27 +333,94 @@ class SparseTSDFVolume:
         tsdf = np.ones((capacity, BLOCK_VOXELS), dtype=np.float32)
         weight = np.zeros((capacity, BLOCK_VOXELS), dtype=np.float32)
         coords = np.zeros((capacity, 3), dtype=np.int32)
+        crossing = np.zeros((capacity, BLOCK_VOXELS), dtype=bool)
         tsdf[:self._n_alloc] = self.tsdf_blocks[:self._n_alloc]
         weight[:self._n_alloc] = self.weight_blocks[:self._n_alloc]
         coords[:self._n_alloc] = self.block_coords[:self._n_alloc]
+        crossing[:self._n_alloc] = self.crossing_blocks[:self._n_alloc]
         self.tsdf_blocks, self.weight_blocks = tsdf, weight
         self.block_coords = coords
+        self.crossing_blocks = crossing
 
-    def _mark_occupancy(self, new_coords: np.ndarray) -> None:
+    # -- may-cross cell mask --------------------------------------------------
+    def _seed_crossing(self, new_coords: np.ndarray, start: int) -> None:
+        """Mask the face cells of new blocks that reach into old ones.
+
+        A new block holds the empty state, so its only cells that can
+        may-cross are those on its +x/+y/+z faces whose corners lie in a
+        block allocated before this batch (slot below ``start``).
+        """
         nb = self.blocks_per_side
-        bx, by, bz = new_coords[:, 0], new_coords[:, 1], new_coords[:, 2]
-        self.block_occupancy[bx, by, bz] = True
-        # Incremental 3^3 dilation around each new block, clipped at the
-        # grid edge (few new blocks per frame, so 27 fancy writes beat a
-        # full-grid convolution).
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    self.block_occupancy_dilated[
-                        np.clip(bx + dx, 0, nb - 1),
-                        np.clip(by + dy, 0, nb - 1),
-                        np.clip(bz + dz, 0, nb - 1),
-                    ] = True
+        seed = np.zeros(len(new_coords), dtype=bool)  # effect-ok: new blocks
+        for d in range(1, 8):
+            n = new_coords + np.array([d & 1, (d >> 1) & 1, (d >> 2) & 1],
+                                      dtype=np.int32)
+            inside = (n < nb).all(axis=1)
+            n = np.minimum(n, nb - 1)
+            slots = self.block_slot_table[(n[:, 0] * nb + n[:, 1]) * nb
+                                          + n[:, 2]]
+            seed |= inside & (slots >= 0) & (slots < start)
+        if not seed.any():
+            return
+        base = new_coords[seed] * BLOCK
+        lx = _FACE_CELLS // (BLOCK * BLOCK)
+        ly = (_FACE_CELLS // BLOCK) % BLOCK
+        lz = _FACE_CELLS % BLOCK
+        self._recompute_cells(
+            (base[:, 0:1] + lx).reshape(-1),
+            (base[:, 1:2] + ly).reshape(-1),
+            (base[:, 2:3] + lz).reshape(-1),
+        )
+
+    def update_crossing(self, ix: np.ndarray, iy: np.ndarray,
+                        iz: np.ndarray) -> None:
+        """Bring the may-cross cells around voxels ``(ix, iy, iz)`` up to
+        date (cf. :meth:`TSDFVolume.update_crossing`)."""
+        r = self.resolution
+        ix, iy, iz = (np.asarray(a, dtype=np.int32) for a in (ix, iy, iz))
+        now = self._may_cross_at(ix, iy, iz)
+        cx, cy, cz = cells_around(ix[now], iy[now], iz[now], r)
+        slots = self._slots_at(cx, cy, cz)
+        set_ = slots >= 0
+        self.crossing_blocks.reshape(-1)[
+            slots[set_] * BLOCK_VOXELS
+            + _local(cx[set_], cy[set_], cz[set_])] = True
+        self._recompute_cells(*cells_around(ix[~now], iy[~now], iz[~now], r))
+
+    def _may_cross_at(self, x: np.ndarray, y: np.ndarray,
+                      z: np.ndarray) -> np.ndarray:
+        """Predicate ``~(tsdf > CROSSING_TAU)`` at voxels ``(x, y, z)``;
+        unallocated voxels hold the empty state and never may cross."""
+        slots = self._slots_at(x, y, z)
+        tsdf = self.tsdf_blocks.reshape(-1).take(
+            np.maximum(slots, 0) * BLOCK_VOXELS + _local(x, y, z))
+        return (slots >= 0) & ~(tsdf > CROSSING_TAU)
+
+    def _recompute_cells(self, cx: np.ndarray, cy: np.ndarray,
+                         cz: np.ndarray) -> None:
+        """Re-derive the mask of cells based at ``(cx, cy, cz)`` from
+        their 8 current corners; cells past ``r - 2`` or based in an
+        unallocated block are left alone (no sampler reads them)."""
+        r = self.resolution
+        keep = (cx <= r - 2) & (cy <= r - 2) & (cz <= r - 2)
+        cx, cy, cz = cx[keep], cy[keep], cz[keep]
+        base_slots = self._slots_at(cx, cy, cz)
+        keep = base_slots >= 0
+        cx, cy, cz, base_slots = cx[keep], cy[keep], cz[keep], base_slots[keep]
+        crossing = np.zeros(cx.size, dtype=bool)  # effect-ok: cell-count sized
+        for ox in (0, 1):
+            for oy in (0, 1):
+                for oz in (0, 1):
+                    crossing |= self._may_cross_at(cx + ox, cy + oy, cz + oz)
+        self.crossing_blocks.reshape(-1)[
+            base_slots * BLOCK_VOXELS + _local(cx, cy, cz)] = crossing
+
+    def _slots_at(self, x: np.ndarray, y: np.ndarray,
+                  z: np.ndarray) -> np.ndarray:
+        """Block slots (-1 = unallocated) holding voxels ``(x, y, z)``."""
+        nb = np.int32(self.blocks_per_side)
+        return self.block_slot_table.take(((x >> 3) * nb + (y >> 3)) * nb
+                                          + (z >> 3))
 
     def lookup_blocks(self, coords: np.ndarray) -> np.ndarray:
         """Slots for ``(N, 3)`` block coords (``-1`` where unallocated)."""

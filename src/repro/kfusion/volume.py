@@ -13,6 +13,34 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
+#: Threshold of the may-cross predicate ``~(tsdf > CROSSING_TAU)``.  It
+#: is a small positive *normal* float32: when all 8 corners of a
+#: trilinear cell exceed it, no float32 corner term is negative and the
+#: largest (corner weight >= ~1/8) is at least ``tau / 8``, still
+#: normal, so the sample cannot round to ``<= 0``.  A ``tsdf <= 0``
+#: predicate would be wrong: a subnormal positive corner can underflow
+#: to a sample of exactly 0.
+CROSSING_TAU = np.float32(2.0**-20)
+
+
+def cells_around(ix: np.ndarray, iy: np.ndarray, iz: np.ndarray,
+                 resolution: int) -> tuple[np.ndarray, ...]:
+    """Base corners of the 8 trilinear cells that have voxel ``(ix, iy,
+    iz)`` as a corner, each ``(8 N,)``.
+
+    Bases are clipped onto ``[0, resolution - 2]`` as the samplers clip
+    them (a voxel on the grid's first or last plane is a corner of one
+    cell per axis, which then appears twice).
+    """
+    n = len(ix)
+    cells = np.empty((3, 8, n), dtype=np.int32)  # effect-ok: flip-sized
+    for c in range(8):
+        for axis, voxel in enumerate((ix, iy, iz)):
+            np.subtract(voxel, (c >> (2 - axis)) & 1, out=cells[axis, c],
+                        casting="unsafe")
+    np.clip(cells, 0, resolution - 2, out=cells)
+    return tuple(cells.reshape(3, 8 * n))
+
 
 class TSDFVolume:
     """Dense TSDF voxel grid.
@@ -23,6 +51,15 @@ class TSDFVolume:
         tsdf: ``(r, r, r)`` float32 array of truncated signed distances,
             normalised to [-1, 1] (distance / mu).
         weight: ``(r, r, r)`` float32 accumulation weights.
+        crossing: ``(r, r, r)`` bool may-cross cell mask.  Entry
+            ``(i, j, k)`` is set when some corner of the trilinear cell
+            based at voxel ``(i, j, k)`` has ``~(tsdf > CROSSING_TAU)``
+            (bases past ``r - 2`` are never set).  A sample in a clear
+            cell reads a positive value, so the fast raycaster need not
+            gather it (DESIGN.md S17).  The fast integrate kernel keeps
+            it current through :meth:`update_crossing`; code that writes
+            ``tsdf`` directly must call that method on what it wrote.
+            The reference kernels neither read nor maintain it.
     """
 
     def __init__(self, resolution: int, size: float):
@@ -36,6 +73,7 @@ class TSDFVolume:
             (self.resolution,) * 3, dtype=np.float32
         )  # 1.0 == "far outside"
         self.weight = np.zeros((self.resolution,) * 3, dtype=np.float32)
+        self.crossing = np.zeros((self.resolution,) * 3, dtype=bool)
 
     @property
     def voxel_size(self) -> float:
@@ -45,6 +83,39 @@ class TSDFVolume:
         """Clear the volume to the empty state."""
         self.tsdf.fill(1.0)
         self.weight.fill(0.0)
+        self.crossing.fill(False)
+
+    def update_crossing(self, ix: np.ndarray, iy: np.ndarray,
+                        iz: np.ndarray) -> None:
+        """Bring the may-cross cells around voxels ``(ix, iy, iz)`` up to
+        date with their current tsdf.
+
+        Call with (at least) the voxels whose predicate ``~(tsdf >
+        CROSSING_TAU)`` flipped.  A voxel that may cross sets every cell
+        it is a corner of; the cells of one that no longer may cross are
+        re-derived from their 8 corners.
+        """
+        r = self.resolution
+        ix, iy, iz = (np.asarray(a, dtype=np.int32) for a in (ix, iy, iz))
+        now = ~(self.tsdf[ix, iy, iz] > CROSSING_TAU)
+        mask = self.crossing.reshape(-1)
+        mask[self._cells(ix[now], iy[now], iz[now])] = True
+        cells = self._cells(ix[~now], iy[~now], iz[~now])
+        tsdf = self.tsdf.reshape(-1)
+        crossing = np.zeros(cells.size, dtype=bool)  # effect-ok: flip-sized
+        for ox in (0, 1):
+            for oy in (0, 1):
+                for oz in (0, 1):
+                    corner = tsdf.take(cells + ((ox * r + oy) * r + oz))
+                    crossing |= ~(corner > CROSSING_TAU)
+        mask[cells] = crossing
+
+    def _cells(self, ix: np.ndarray, iy: np.ndarray,
+               iz: np.ndarray) -> np.ndarray:
+        """Flat mask indices of the cells around voxels ``(ix, iy, iz)``."""
+        r = self.resolution
+        cx, cy, cz = cells_around(ix, iy, iz, r)
+        return (cx.astype(np.int64) * r + cy) * r + cz
 
     def voxel_centers_world(self) -> np.ndarray:
         """World (volume-frame) coordinates of all voxel centres, ``(r^3, 3)``.
@@ -161,5 +232,5 @@ class TSDFVolume:
 
     @property
     def allocated_bytes(self) -> int:
-        """Actual bytes held by the voxel fields."""
-        return self.tsdf.nbytes + self.weight.nbytes
+        """Actual bytes held by the voxel fields and the cell mask."""
+        return self.tsdf.nbytes + self.weight.nbytes + self.crossing.nbytes

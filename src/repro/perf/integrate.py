@@ -12,6 +12,9 @@ with ``out=`` arithmetic end to end.
 
 Update semantics (projective SDF, truncation, occlusion cut, running
 weighted average with the weight cap) match the reference exactly.
+The kernel also maintains the volume's may-cross cell mask, the fast
+raycaster's empty-space skip (DESIGN.md S17), incrementally: only cells
+around voxels whose ``~(tsdf > tau)`` predicate flipped are recomputed.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from ..analysis.contracts import contract
 from ..geometry import PinholeCamera, se3
 from ..kfusion.integration import MAX_WEIGHT
-from ..kfusion.volume import TSDFVolume
+from ..kfusion.volume import CROSSING_TAU, TSDFVolume
 from .common import PROJECT_EDGE_EPS, PROJECT_MIN_Z
 from .workspace import FrameWorkspace
 
@@ -123,6 +126,15 @@ def integrate(
     flat_w = volume.weight.reshape(-1)
     w_old = flat_w[idx]
     w_new = np.minimum(w_old + np.float32(1.0), np.float32(MAX_WEIGHT))
-    flat_t[idx] = (flat_t[idx] * w_old + tsdf_new) / w_new
+    t_old = flat_t[idx]
+    t_new = (t_old * w_old + tsdf_new) / w_new
+    flat_t[idx] = t_new
     flat_w[idx] = w_new
+
+    # Keep the raycaster's may-cross cell mask current: only cells
+    # around voxels whose predicate flipped can change.
+    flipped = idx[(t_old > CROSSING_TAU) != (t_new > CROSSING_TAU)]
+    fx, rest = np.divmod(flipped, r * r)
+    fy, fz = np.divmod(rest, r)
+    volume.update_crossing(fx, fy, fz)
     return int(idx.size)

@@ -10,7 +10,10 @@ Two passes per frame:
 2. **Update** — for every allocated block still inside the camera
    frustum (conservative plane test on block AABBs), apply the dense
    fast kernel's *exact* float32 op sequence (projection, validity,
-   occlusion cut, running weighted average) to the block's voxels.
+   occlusion cut, running weighted average) to the block's voxels, and
+   recompute the may-cross cells (the raycaster's empty-space skip,
+   DESIGN.md S22) around the voxels whose ``~(tsdf > tau)`` predicate
+   flipped.
 
 Because unallocated space reads as the empty state and the update rule
 is bit-identical to :func:`repro.perf.integrate.integrate`, voxels in
@@ -41,6 +44,7 @@ from ..kfusion.sparse import (
     SparseTSDFVolume,
     unpack_block_coords,
 )
+from ..kfusion.volume import CROSSING_TAU
 from .common import PROJECT_EDGE_EPS, PROJECT_MIN_Z, pixel_rays_f32
 from .workspace import FrameWorkspace
 
@@ -242,6 +246,7 @@ def integrate(
     flat_w = volume.weight_blocks.reshape(-1)
     eps = np.float32(PROJECT_EDGE_EPS)
     updated = 0
+    flipped = []
 
     for at in range(0, visible.size, chunk):
         slots = visible[at:at + chunk]
@@ -333,7 +338,17 @@ def integrate(
 
         w_old = flat_w[tgt]
         w_new = np.minimum(w_old + np.float32(1.0), np.float32(MAX_WEIGHT))
-        flat_t[tgt] = (flat_t[tgt] * w_old + tsdf_new) / w_new
+        t_old = flat_t[tgt]
+        t_new = (t_old * w_old + tsdf_new) / w_new
+        flat_t[tgt] = t_new
         flat_w[tgt] = w_new
         updated += int(idx.size)
+        flip = idx[(t_old > CROSSING_TAU) != (t_new > CROSSING_TAU)]
+        flipped.append((ixf[flip], iyf[flip], izf[flip]))
+
+    # Keep the raycaster's may-cross cell mask current: only cells
+    # around voxels whose predicate flipped can change.
+    if flipped:
+        volume.update_crossing(*(np.concatenate(a)  # effect-ok: flip-sized
+                                 for a in zip(*flipped)))
     return updated

@@ -3,29 +3,41 @@
 Same march as the fast dense raycaster — uniform step grid, zero
 crossing where a valid positive sample is followed by a non-positive
 one, linear refinement between them — restructured as a segmented
-(ray x step) grid with two sparse accelerations:
+(ray x step) grid with two accelerations:
 
 * **Volume clipping** — per-ray entry/exit distances against the volume
   AABB (one slab test up front) bound each ray's emission range; rays
   retire between segments once past their exit.
-* **Block skipping** — a sample whose 8³ block is clear in the volume's
-  *dilated* occupancy mask cannot touch allocated data with any
-  trilinear corner, so its value is exactly the empty-state 1.0 without
-  sampling; one flat gather over a whole segment tile prunes those
-  samples with no per-step loop at all.
+* **Exact empty-space skipping** — the volume keeps a may-cross cell
+  mask in its ``(capacity, 512)`` block layout
+  (:attr:`SparseTSDFVolume.crossing_blocks`): a cell is set when some
+  corner has ``~(tsdf > tau)`` for a small positive normal float32
+  ``tau`` (:data:`repro.kfusion.volume.CROSSING_TAU`).  One flat gather
+  over a whole segment tile keeps only the samples whose own cell or
+  t-successor's cell is set; only those are sampled, every other one is
+  treated as invalid.
 
-Sampling near allocated blocks goes through a trilinear gather that is
-bit-identical to :func:`repro.perf.trilinear.sample_f32` over the block
-data (same op order, same corner order), so hits land where the dense
-fast raycaster puts them wherever the truncation band was allocated.
-Skipped samples stay *invalid*: a zero crossing's positive-side sample
-always lies within one march step of the surface, inside the allocated
-band front, so every dense hit still has a sampled valid predecessor —
-while a ray arriving from unobserved (never-carved) space produces no
-crossing in either backend.  Residual divergence against the dense
-raycaster is limited to free space the dense integrate carved but the
-band allocator skips, and is bounded end-to-end by the
-golden-equivalence suite (identical status sequences, ATE within 2%).
+The skip is exact.  If all 8 corners exceed ``tau``, every float32
+corner term is non-negative and the largest (weight >= ~1/8) is a
+positive normal number, so the sample is ``> 0`` (or NaN, for an
+infinite corner with a zero weight) and cannot be the ``v <= 0`` half of
+a crossing; it can only be the ``v > 0`` half when its t-successor may
+cross, and then it is sampled.  So crossing pairs, first hits,
+refinement and retirement are those of the unskipped march.  Cells
+based in unallocated blocks are never set: such a sample has a
+weight-0 corner and is invalid anyway.  ``tsdf <= 0`` would not do as
+the predicate: a subnormal positive corner can underflow to a sample of
+exactly 0.
+
+Sampling goes through a trilinear gather that is bit-identical to
+:func:`repro.perf.trilinear.sample_f32` over the block data (same op
+order, same corner order), so hits land where the dense fast raycaster
+puts them wherever the truncation band was allocated.  A ray arriving
+from unobserved (never-carved) space produces no crossing in either
+backend.  Residual divergence against the dense raycaster is limited to
+free space the dense integrate carved but the band allocator skips, and
+is bounded end-to-end by the golden-equivalence suite (identical status
+sequences, ATE within 2%).
 """
 
 from __future__ import annotations
@@ -37,17 +49,8 @@ from ..geometry import PinholeCamera
 from ..kfusion.sparse import BLOCK, BLOCK_VOXELS, SparseTSDFVolume
 from ..kfusion.tracking import ReferenceModel
 from .common import translation_f32, unit_rays_f32
-from .trilinear import _CORNERS
+from .trilinear import _CORNERS, axis_cells
 from .workspace import FrameWorkspace
-
-#: Corner offsets of :data:`repro.perf.trilinear._CORNERS` as (1, 8)
-#: integer rows, for the corner-vectorised gather below.
-_OX = np.array([c[0] for c in _CORNERS], dtype=np.int32)[None, :]
-_OY = np.array([c[1] for c in _CORNERS], dtype=np.int32)[None, :]
-_OZ = np.array([c[2] for c in _CORNERS], dtype=np.int32)[None, :]
-_OXB = _OX.astype(bool)
-_OYB = _OY.astype(bool)
-_OZB = _OZ.astype(bool)
 
 
 def sample_sparse_f32(
@@ -59,107 +62,54 @@ def sample_sparse_f32(
     Bit-identical to :func:`repro.perf.trilinear.sample_f32` wherever the
     touched blocks are allocated; unallocated corners read the empty
     state (tsdf 1.0, weight 0.0), which is what the dense volume holds
-    at any voxel integration never updated.  All 8 trilinear corners are
-    gathered in one ``(n, 8)`` pass through the volume's dense
-    coord->slot table — no hashing on this path — with the dense
-    kernel's weight-product grouping and corner accumulation order
-    preserved so the float32 results round identically.
+    at any voxel integration never updated.
     """
-    r = volume.resolution
-    nb = volume.blocks_per_side
-    inv_voxel = np.float32(1.0 / volume.voxel_size)
-    p = points * inv_voxel
+    p = points * np.float32(1.0 / volume.voxel_size)
     p -= np.float32(0.5)
-
-    base = np.floor(p)
-    frac = p - base
-    base = base.astype(np.int32)
-
-    inside = ((base >= 0) & (base <= r - 2)).all(axis=-1)
-    np.clip(base, 0, r - 2, out=base)
-
-    # (n, 8) corner voxel coordinates and their block-table slots.  All
-    # index arithmetic stays int32: the largest flat voxel index is
-    # blocks * BLOCK_VOXELS < 2^31 up to resolution 1024.
-    ix = base[:, 0:1] + _OX  # effect-ok: batch-sized
-    iy = base[:, 1:2] + _OY  # effect-ok: batch-sized
-    iz = base[:, 2:3] + _OZ  # effect-ok: batch-sized
-    bidx = ((ix >> 3) * np.int32(nb) + (iy >> 3)) * np.int32(nb) \
-        + (iz >> 3)
-    slots = volume.block_slot_table.take(bidx)
-    local = ((ix & 7) * BLOCK + (iy & 7)) * BLOCK + (iz & 7)
-    found = slots >= 0
-    flat = np.where(found, slots, 0) * np.int32(BLOCK_VOXELS) + local
-    tv = volume.tsdf_blocks.reshape(-1).take(flat)
-    wv = volume.weight_blocks.reshape(-1).take(flat)
-    tv[~found] = np.float32(1.0)
-    wv[~found] = np.float32(0.0)
-
-    # Corner weights with the dense grouping ((wx * wy) * wz), then the
-    # same sequential corner-order accumulation as trilinear.sample_f32.
-    one = np.float32(1.0)
-    fx, fy, fz = frac[:, 0:1], frac[:, 1:2], frac[:, 2:3]
-    w = np.where(_OXB, fx, one - fx)  # effect-ok: batch-sized
-    w = w * np.where(_OYB, fy, one - fy)  # effect-ok: batch-sized
-    w *= np.where(_OZB, fz, one - fz)
-    w *= tv
-
-    values = np.zeros(len(p), dtype=np.float32)  # effect-ok: batch-sized
-    # (live-ray batches vary per step, as in trilinear.sample_f32)
-    for c in range(8):
-        values += w[:, c]
-
-    valid = inside & (wv > 0.0).all(axis=-1)
-    values[~valid] = np.float32(1.0)
-    return values, valid
+    return _sample_voxel_coords(volume, p[:, 0], p[:, 1], p[:, 2])
 
 
-def _sample_scheduled(
+def _sample_voxel_coords(
     volume: SparseTSDFVolume,
-    points: np.ndarray,
-    ix: np.ndarray,
-    iy: np.ndarray,
-    iz: np.ndarray,
-    cb: np.ndarray,
+    px: np.ndarray,
+    py: np.ndarray,
+    pz: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sample_sparse_f32` fast path for scheduled march samples.
+    """:func:`sample_sparse_f32` at continuous voxel coordinates
+    (``points / voxel_size - 0.5``, float32, one array per axis).
 
-    The segment tile already derived each sample's clipped corner voxel
-    coordinates ``ix``/``iy``/``iz`` and corner block indices ``cb``,
-    and its emission test proved every corner block allocated — so the
-    slot lookups cannot miss and the empty-state fixups vanish.  The
-    arithmetic is the same op sequence as :func:`sample_sparse_f32`
-    (same floor/frac, same weight grouping, same corner accumulation
-    order), so the float32 results are bit-equal.
+    Each corner is looked up through the volume's dense coord->slot
+    table (no hashing on this path), with the dense kernel's
+    weight-product grouping and corner accumulation order so the
+    float32 results round identically.  Index arithmetic stays int32:
+    the largest flat voxel index is blocks * BLOCK_VOXELS < 2^31 up to
+    resolution 1024.
     """
     r = volume.resolution
-    inv_voxel = np.float32(1.0 / volume.voxel_size)
-    p = points * inv_voxel
-    p -= np.float32(0.5)
-    fl = np.floor(p)
-    frac = p - fl
-    inside = ((fl >= 0) & (fl <= r - 2)).all(axis=-1)
-
-    local = ((ix & 7) * BLOCK + (iy & 7)) * BLOCK + (iz & 7)
-    slots = volume.block_slot_table.take(cb)
-    flat = slots * np.int32(BLOCK_VOXELS) + local
-    tv = volume.tsdf_blocks.reshape(-1).take(flat)
-    wv = volume.weight_blocks.reshape(-1).take(flat)
-
+    nb = np.int32(volume.blocks_per_side)
     one = np.float32(1.0)
-    fx, fy, fz = frac[:, 0:1], frac[:, 1:2], frac[:, 2:3]
-    w = np.where(_OXB, fx, one - fx)  # effect-ok: batch-sized
-    w = w * np.where(_OYB, fy, one - fy)  # effect-ok: batch-sized
-    w *= np.where(_OZB, fz, one - fz)
-    w *= tv
+    (bx, wx, ix), (by, wy, iy), (bz, wz, iz) = (
+        axis_cells(c, r) for c in (px, py, pz))
+    valid = ix & iy & iz
 
-    values = np.zeros(len(p), dtype=np.float32)  # effect-ok: batch-sized
-    # (same sequential corner accumulation as trilinear.sample_f32)
-    for c in range(8):
-        values += w[:, c]
+    tsdf = volume.tsdf_blocks.reshape(-1)
+    weight = volume.weight_blocks.reshape(-1)
+    values = np.zeros(len(px), dtype=np.float32)  # effect-ok: batch-sized
+    # (live-ray batches vary per call, as in trilinear.sample_f32)
+    for ox, oy, oz in _CORNERS:
+        x, y, z = bx + ox, by + oy, bz + oz
+        slots = volume.block_slot_table.take(((x >> 3) * nb + (y >> 3)) * nb
+                                             + (z >> 3))
+        found = slots >= 0
+        flat = np.maximum(slots, 0) * np.int32(BLOCK_VOXELS) \
+            + ((x & 7) * BLOCK + (y & 7)) * BLOCK + (z & 7)
+        tv = tsdf.take(flat)
+        tv[~found] = one
+        values += (wx[ox] * wy[oy] * wz[oz]) * tv
+        valid &= found
+        valid &= weight.take(flat) > 0.0
 
-    valid = inside & (wv > 0.0).all(axis=-1)
-    values[~valid] = np.float32(1.0)
+    values[~valid] = one
     return values, valid
 
 
@@ -225,19 +175,16 @@ def raycast_model(
     The march grid is the dense raycaster's t-sequence crossed with the
     live rays.  Instead of stepping rays one sample at a time, each
     iteration takes a *segment* of ``SEGMENT_STEPS`` consecutive grid
-    indices and tests every (ray, index) pair at once: block occupancy
-    (dilated) prefilters the tile in one flat gather, then the
-    surviving samples' 8 trilinear corner blocks are checked and only
-    samples with all corners allocated are evaluated — any other
-    sample has a weight-0 corner by construction, so it is invalid and
-    reads 1.0 without sampling.  ``np.flatnonzero`` over the C-ordered
-    tile yields the evaluated samples ray-major and t-ascending for
-    free, so each ray's first zero crossing is selected vectorised: a
-    crossing is two *t-adjacent* samples, both valid, spanning the
-    sign change — exactly the step-by-step march's ``prev``/current
-    test, because a sample skipped between them would have been
-    invalid and broken the pair.  Rays whose first crossing is found
-    retire between segments (the dense march would have stopped
+    indices and tests every (ray, index) pair at once: one flat gather
+    of the may-cross mask keeps the in-bounds samples whose cell or
+    t-successor's cell may cross, and only those are evaluated.
+    ``np.flatnonzero`` over the C-ordered tile yields them ray-major and
+    t-ascending for free, so each ray's first zero crossing is selected
+    vectorised: a crossing is two *t-adjacent* samples, both valid,
+    spanning the sign change — exactly the step-by-step march's
+    ``prev``/current test, because a sample skipped between them could
+    not have been half of a crossing.  Rays whose first crossing is
+    found retire between segments (the dense march would have stopped
     there); segments share their boundary index, so a crossing pair
     straddling the cut reforms in the next segment.
     """
@@ -261,10 +208,9 @@ def raycast_model(
     tx = ws.buffer("rc_t_exit", (n_rays,))
     _volume_slab(origin, dirs_all, volume.size, near, te, tx)
 
-    inv_bm = np.float32(1.0 / (BLOCK * volume.voxel_size))
-    nb = volume.blocks_per_side
-    occ_flat = volume.block_occupancy_dilated.reshape(-1)
-    alloc_flat = volume.block_occupancy.reshape(-1)
+    nb = np.int32(volume.blocks_per_side)
+    slot_flat = volume.block_slot_table
+    cross_flat = volume.crossing_blocks.reshape(-1)
 
     # The dense raycaster advances every live ray by the same float32
     # ``t += step`` accumulation, so all its rays share one t-sequence.
@@ -288,7 +234,7 @@ def raycast_model(
     # extra evaluated-and-discarded samples and can never change which
     # crossing pairs form.
     alive = np.arange(n_rays, dtype=np.int64)
-    dirs = dirs_all
+    dirs = np.ascontiguousarray(dirs_all.T)  # effect-ok: per-frame rays
     lb = te - step
     ub = np.minimum(tx + step, far)
 
@@ -297,62 +243,58 @@ def raycast_model(
     s = 0
     while alive.size:
         e = min(s + SEGMENT_STEPS, last)
-        t_seg = ts[s:e + 1]
+        t_seg = ts[s:e + 1, None]
         k = t_seg.size
-        # (rays, k) tile: in-bounds candidates whose 8^3 block is set in
-        # the dilated occupancy — everything else reads 1.0 unsampled.
-        cand = t_seg[None, :] >= lb[:, None]  # effect-ok: tile-sized
-        cand &= t_seg[None, :] <= ub[:, None]
-        pts = origin + t_seg[None, :, None] * dirs[:, None, :]
-        blk = pts * inv_bm  # effect-ok: tile-sized
-        np.floor(blk, out=blk)
-        blk = blk.astype(np.int32)
-        np.clip(blk, 0, nb - 1, out=blk)
-        bidx = (blk[..., 0] * np.int32(nb) + blk[..., 1]) \
-            * np.int32(nb) + blk[..., 2]
-        dil = occ_flat.take(bidx)
-        dil &= cand
-        # C-order flatnonzero enumerates the tile ray-major and
+        n = alive.size
+        # (k, rays) tile of in-bounds samples, one array per axis (long
+        # contiguous rows), kept where the sample's trilinear cell or
+        # its t-successor's may cross.
+        cand = t_seg >= lb  # effect-ok: tile-sized
+        cand &= t_seg <= ub
+        p, base = [], []
+        for c in range(3):
+            pc = origin[c] + t_seg * dirs[c]  # effect-ok: tile-sized
+            pc *= inv_vox
+            pc -= np.float32(0.5)
+            b = np.floor(pc).astype(np.int32)
+            np.minimum(np.maximum(b, 0, out=b), r - 2, out=b)
+            p.append(pc)
+            base.append(b)
+        bx, by, bz = base
+        bslot = slot_flat.take(((bx >> 3) * nb + (by >> 3)) * nb + (bz >> 3))
+        need = cross_flat.take(
+            np.maximum(bslot, 0) * np.int32(BLOCK_VOXELS)
+            + ((bx & 7) * BLOCK + (by & 7)) * BLOCK + (bz & 7))
+        need &= bslot >= 0
+        need[:-1] |= need[1:]
+        need &= cand
+        # Flattening the transposed tile enumerates it ray-major and
         # t-ascending — exactly the order the crossing scan needs.
-        rows = np.flatnonzero(dil.reshape(-1))  # effect-ok: tile-sized
+        rows = np.flatnonzero(need.T)  # effect-ok: tile-sized
         if rows.size:
-            pf = pts.reshape(-1, 3)[rows]
-            p = pf * inv_vox  # effect-ok: batch-sized
-            p -= np.float32(0.5)
-            base = np.floor(p).astype(np.int32)
-            np.clip(base, 0, r - 2, out=base)
-            ix = base[:, 0:1] + _OX  # effect-ok: batch-sized
-            iy = base[:, 1:2] + _OY  # effect-ok: batch-sized
-            iz = base[:, 2:3] + _OZ  # effect-ok: batch-sized
-            cb = ((ix >> 3) * np.int32(nb) + (iy >> 3)) * np.int32(nb) \
-                + (iz >> 3)
-            emit = alloc_flat.take(cb).all(axis=1)
-            if emit.any():
-                sel = rows[emit]  # effect-ok: batch-sized
-                ray_l = sel // k
-                tidx_o = s + sel % k
-                v, valid = _sample_scheduled(
-                    volume, pf[emit], ix[emit], iy[emit], iz[emit],
-                    cb[emit],
-                )
-
-                same = ray_l[1:] == ray_l[:-1]
-                same &= tidx_o[1:] == tidx_o[:-1] + 1
-                same &= valid[:-1] & valid[1:]
-                same &= v[:-1] > 0.0
-                same &= v[1:] <= 0.0
-                j = np.flatnonzero(same)  # effect-ok: hit-sized
-                if j.size:
-                    uniq, first = np.unique(ray_l[j], return_index=True)
-                    jj = j[first]
-                    f0 = v[jj]
-                    f1 = v[jj + 1]
-                    denom = np.where(np.abs(f0 - f1) > 1e-12, f0 - f1,
-                                     np.float32(1e-12))
-                    g = alive[uniq]
-                    hit_t[g] = (ts[tidx_o[jj] + 1] - step) \
-                        + (f0 / denom) * step
-                    hit[g] = True
+            ray_l = rows // k
+            col = rows % k
+            at = col * n + ray_l
+            v, valid = _sample_voxel_coords(
+                volume, *(pc.reshape(-1).take(at) for pc in p))
+            tidx_o = s + col
+            same = ray_l[1:] == ray_l[:-1]
+            same &= tidx_o[1:] == tidx_o[:-1] + 1
+            same &= valid[:-1] & valid[1:]
+            same &= v[:-1] > 0.0
+            same &= v[1:] <= 0.0
+            j = np.flatnonzero(same)  # effect-ok: hit-sized
+            if j.size:
+                uniq, first = np.unique(ray_l[j], return_index=True)
+                jj = j[first]
+                f0 = v[jj]
+                f1 = v[jj + 1]
+                denom = np.where(np.abs(f0 - f1) > 1e-12, f0 - f1,
+                                 np.float32(1e-12))
+                g = alive[uniq]
+                hit_t[g] = (ts[tidx_o[jj] + 1] - step) \
+                    + (f0 / denom) * step
+                hit[g] = True
         if e >= last:
             break
         # Retire rays that found their crossing or left their bounds;
@@ -362,7 +304,7 @@ def raycast_model(
         keep &= ts[e + 1] <= ub
         if not keep.all():
             alive = alive[keep]
-            dirs = dirs[keep]
+            dirs = dirs[:, keep]
             lb = lb[keep]
             ub = ub[keep]
         s = e

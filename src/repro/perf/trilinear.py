@@ -23,6 +23,23 @@ from ..kfusion.volume import TSDFVolume
 _CORNERS = [(c & 1, (c >> 1) & 1, (c >> 2) & 1) for c in range(8)]
 
 
+def axis_cells(coord: np.ndarray, r: int) -> tuple:
+    """Trilinear cells along one axis of continuous voxel coordinates.
+
+    Returns ``(base, weights, inside)``: the int32 cell base clipped onto
+    ``[0, r - 2]``, the corner weights ``(1 - frac, frac)`` and the
+    in-grid test of the unclipped base.  Working on one axis at a time
+    keeps every array contiguous, with no reduction over a length-3
+    axis.
+    """
+    fl = np.floor(coord)
+    frac = coord - fl
+    base = fl.astype(np.int32)
+    inside = (base >= 0) & (base <= r - 2)
+    np.minimum(np.maximum(base, 0, out=base), r - 2, out=base)
+    return base, (np.float32(1.0) - frac, frac), inside
+
+
 def sample_f32(
     volume: TSDFVolume,
     points: np.ndarray,
@@ -37,34 +54,24 @@ def sample_f32(
     p = points * inv_voxel
     p -= np.float32(0.5)
 
-    base = np.floor(p)
-    frac = p - base
-    base = base.astype(np.int32)
-
-    inside = ((base >= 0) & (base <= r - 2)).all(axis=-1)
-    np.clip(base, 0, r - 2, out=base)
+    (bx, wx, ix), (by, wy, iy), (bz, wz, iz) = (
+        axis_cells(p[:, axis], r) for axis in range(3))
+    valid = ix & iy & iz
 
     # Flat gather index of corner (0, 0, 0); the other corners are fixed
     # strides away, so the index arithmetic is done once per batch.
-    flat000 = (base[:, 0].astype(np.int64) * r + base[:, 1]) * r + base[:, 2]
+    flat000 = (bx.astype(np.int64) * r + by) * r + bz
     tsdf_flat = volume.tsdf.reshape(-1)
     weight_flat = volume.weight.reshape(-1)
 
-    fx, fy, fz = frac[:, 0], frac[:, 1], frac[:, 2]
-    wx = (np.float32(1.0) - fx, fx)
-    wy = (np.float32(1.0) - fy, fy)
-    wz = (np.float32(1.0) - fz, fz)
-
     values = np.zeros(len(p), dtype=np.float32)  # effect-ok: batch-sized
-    observed = np.ones(len(p), dtype=bool)  # effect-ok: batch-sized
     # (query batches are the compacted live-ray set, so their length
     # varies per call — a fixed-shape arena buffer cannot hold them)
     for ox, oy, oz in _CORNERS:
         idx = flat000 + ((ox * r + oy) * r + oz)
-        values += (wx[ox] * wy[oy] * wz[oz]) * tsdf_flat[idx]
-        observed &= weight_flat[idx] > 0.0
+        values += (wx[ox] * wy[oy] * wz[oz]) * tsdf_flat.take(idx)
+        valid &= weight_flat.take(idx) > 0.0
 
-    valid = inside & observed
     values[~valid] = np.float32(1.0)
     return values, valid
 

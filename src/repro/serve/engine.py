@@ -195,7 +195,7 @@ class ServeEngine:
                 system.update_outputs()
             pose = np.array(system.outputs.pose(), dtype=np.float64)
         except Exception as exc:  # quarantine: one bad session, not the fleet
-            session.mark_crashed(f"{type(exc).__name__}: {exc}")
+            session.record_failure(f"{type(exc).__name__}: {exc}")
             self._sessions_crashed += 1
             self._tracer.count("serve.sessions_crashed")
             try:
@@ -334,7 +334,7 @@ class ServeEngine:
         with self._lock:
             states: dict[str, int] = {}
             latencies: list[float] = []
-            received = processed = dropped = 0
+            received = processed = dropped = failed = 0
             per_session = {}
             for cid, session in self._sessions.items():
                 states[session.state.value] = (
@@ -343,6 +343,7 @@ class ServeEngine:
                 received += session.frames_received
                 processed += session.frames_processed
                 dropped += session.frames_dropped
+                failed += session.frames_failed
                 latencies.extend(session.latency_samples)
                 per_session[cid] = session.stats()
             if latencies:
@@ -362,6 +363,7 @@ class ServeEngine:
                     "received": received,
                     "processed": processed,
                     "dropped": dropped,
+                    "failed": failed,
                     "drop_rate": (dropped / received) if received else 0.0,
                 },
                 "latency": {"p50_s": p50, "p95_s": p95},

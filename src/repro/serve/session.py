@@ -116,6 +116,9 @@ class Session:
         self.frames_received = 0
         self.frames_processed = 0
         self.frames_dropped = 0
+        #: frames taken for processing whose step raised (at most one:
+        #: the first failure quarantines the session).
+        self.frames_failed = 0
         self.results: list[FrameResult] = []
         self._latencies: deque = deque(maxlen=policy.max_latency_samples)
 
@@ -175,6 +178,12 @@ class Session:
             duration_s=duration_s,
         ))
 
+    def record_failure(self, error: str) -> None:
+        """The frame just taken crashed the algorithm: count it as
+        failed, then quarantine the session."""
+        self.frames_failed += 1
+        self.mark_crashed(error)
+
     def mark_crashed(self, error: str) -> None:
         """Quarantine: record the failure, drop the backlog (counted)."""
         self.state = SessionState.CRASHED
@@ -208,6 +217,7 @@ class Session:
             "frames_received": self.frames_received,
             "frames_processed": self.frames_processed,
             "frames_dropped": self.frames_dropped,
+            "frames_failed": self.frames_failed,
             "latency_p50_s": p50,
             "latency_p95_s": p95,
             "last_status": last.status if last else None,

@@ -12,6 +12,8 @@ import pytest
 
 from repro.datasets import icl_nuim
 from repro.geometry import PinholeCamera
+from repro.kfusion.sparse import BLOCK, SparseTSDFVolume
+from repro.kfusion.volume import CROSSING_TAU
 from repro.platforms import odroid_xu3
 from repro.scene import KinectNoiseModel, living_room
 
@@ -53,3 +55,40 @@ def odroid():
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+def _crossing_from_scratch(volume):
+    """A volume's may-cross cell mask recomputed from its whole TSDF.
+
+    Dense volumes: the ``(r, r, r)`` mask.  Sparse volumes: the
+    ``(capacity, 512)`` block-layout mask, where cells based in
+    unallocated blocks have no row and unallocated corners read the
+    empty state.
+    """
+    sparse = isinstance(volume, SparseTSDFVolume)
+    tsdf = volume.densify()[0] if sparse else volume.tsdf
+    r = volume.resolution
+    corner = ~(tsdf > CROSSING_TAU)
+    cells = np.zeros((r, r, r), dtype=bool)
+    for ox in (0, 1):
+        for oy in (0, 1):
+            for oz in (0, 1):
+                cells[:-1, :-1, :-1] |= corner[ox:r - 1 + ox, oy:r - 1 + oy,
+                                               oz:r - 1 + oz]
+    if not sparse:
+        return cells
+    pad = volume.blocks_per_side * BLOCK
+    padded = np.zeros((pad,) * 3, dtype=bool)
+    padded[:r, :r, :r] = cells
+    rows = np.zeros_like(volume.crossing_blocks)
+    for slot in range(volume.allocated_blocks):
+        bx, by, bz = volume.block_coords[slot] * BLOCK
+        rows[slot] = padded[bx:bx + BLOCK, by:by + BLOCK,
+                            bz:bz + BLOCK].reshape(-1)
+    return rows
+
+
+@pytest.fixture(scope="session")
+def crossing_from_scratch():
+    """``volume -> mask``: the may-cross mask rebuilt from scratch."""
+    return _crossing_from_scratch

@@ -88,3 +88,46 @@ class TestDegenerateFrames:
         statuses = [r.status for r in result.collector.records]
         assert statuses[0] is TrackingStatus.BOOTSTRAP
         assert all(s is TrackingStatus.LOST for s in statuses[1:])
+
+
+@pytest.fixture(scope="module")
+def sequence_64x48():
+    seq = icl_nuim.load("lr_kt0", n_frames=8, width=64, height=48, seed=0)
+    seq.materialize()
+    return seq
+
+
+class TestLostThenRecover:
+    """One all-NaN or negated depth frame costs exactly one LOST frame;
+    tracking is back to OK on the next frame, on every always-on
+    backend, and the raycasters' may-cross mask stays exact through it."""
+
+    BAD_AT = 4
+
+    @pytest.mark.parametrize("backend", ["reference", "fast", "sparse"])
+    @pytest.mark.parametrize("corrupt", ["nan", "negated"])
+    def test_one_lost_frame_then_ok(self, backend, corrupt, sequence_64x48,
+                                    crossing_from_scratch):
+        system = KinectFusion(kernel_backend=backend)
+        system.new_configuration().update({
+            "volume_resolution": 128, "volume_size": 5.0,
+            "integration_rate": 1,
+        })
+        system.init(sequence_64x48.sensors)
+        statuses = []
+        for f in sequence_64x48:
+            if f.index == self.BAD_AT:
+                depth = (np.full_like(f.depth, np.nan) if corrupt == "nan"
+                         else -f.depth)
+                f = Frame(index=f.index, timestamp=f.timestamp, depth=depth)
+            system.update_frame(f.without_ground_truth())
+            statuses.append(system.process_once())
+        assert statuses == ([TrackingStatus.BOOTSTRAP]
+                            + [TrackingStatus.OK] * (self.BAD_AT - 1)
+                            + [TrackingStatus.LOST]
+                            + [TrackingStatus.OK] * (7 - self.BAD_AT))
+        if backend != "reference":
+            mask = (system.volume.crossing_blocks if backend == "sparse"
+                    else system.volume.crossing)
+            np.testing.assert_array_equal(
+                mask, crossing_from_scratch(system.volume))

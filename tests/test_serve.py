@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.errors import ServeError
@@ -379,6 +380,66 @@ class TestConcurrentSerialEquivalence:
             assert len(statuses_c) == self.N_FRAMES
             assert statuses_c == statuses_s
             assert poses_c == poses_s  # raw float64 bytes: bit-identical
+
+
+# -- failed-frame accounting --------------------------------------------------
+
+def _send_with_crashing_frame(transport, sequence) -> int:
+    """A healthy session and one whose second frame has the wrong shape
+    (KinectFusion raises on it); returns the number of frames offered."""
+    transport.send(_open(sequence, "ok"))
+    transport.send(SessionOpen(client_id="doomed", sensors=sequence.sensors,
+                               configuration={"volume_resolution": 32}))
+    offered = 0
+    for i in range(4):
+        for cid in ("ok", "doomed"):
+            frame = _frame(sequence, i)
+            if cid == "doomed" and i == 1:
+                frame = replace(frame, depth=np.ones((20, 64)), rgb=None)
+            transport.send(SessionFrame(cid, frame))
+            offered += 1
+    for cid in ("ok", "doomed"):
+        transport.send(SessionClose(cid))
+    return offered
+
+
+def _assert_every_frame_accounted(engine, offered: int) -> None:
+    frames = engine.stats()["frames"]
+    assert frames["received"] == offered
+    assert frames["received"] == (frames["processed"] + frames["dropped"]
+                                  + frames["failed"])
+    assert frames["failed"] == 1
+    doomed = engine.session("doomed")
+    assert doomed.state is SessionState.CRASHED
+    assert doomed.frames_failed == 1 and doomed.frames_processed == 1
+    assert doomed.frames_received == (doomed.frames_processed
+                                      + doomed.frames_dropped
+                                      + doomed.frames_failed)
+    assert engine.stats()["per_session"]["doomed"]["frames_failed"] == 1
+
+
+class TestFailedFrameAccounting:
+    """The frame that crashes a session is counted as failed, so
+    ``received == processed + dropped + failed`` holds exactly."""
+
+    def test_sync_engine(self, tiny_sequence):
+        engine = ServeEngine(InProcessTransport(),
+                             policy=ServePolicy(queue_capacity=16))
+        offered = _send_with_crashing_frame(engine.transport, tiny_sequence)
+        engine.run_until_idle()
+        _assert_every_frame_accounted(engine, offered)
+
+    def test_threaded_engine(self, tiny_sequence):
+        engine = ServeEngine(InProcessTransport(),
+                             policy=ServePolicy(queue_capacity=16))
+        engine.start()
+        try:
+            offered = _send_with_crashing_frame(engine.transport,
+                                                tiny_sequence)
+            engine.stop(drain=True)
+        finally:
+            engine.close()
+        _assert_every_frame_accounted(engine, offered)
 
 
 # -- threaded mode -----------------------------------------------------------
